@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.plan import Plan, Transfer
 from repro.netsim.topology import Topology
-from repro.netsim.truecost import ComputeModel, phase_cost
+from repro.netsim.truecost import ComputeModel, account_plan
 
 
 @dataclass
@@ -58,32 +58,27 @@ def simulate_plan(
     """
     dest = np.asarray(dest, dtype=np.int64)
     state = [[set(p) for p in parts] for parts in key_sets]
-    phase_secs: list[float] = []
-    dest_tuples = 0
-    total_sent = 0
+    phase_sizes: list[dict[Transfer, int]] = []
     for phase in plan:
-        bytes_sent: dict[Transfer, float] = {}
-        outgoing: list[tuple[Transfer, set]] = []
-        for t in phase:
-            data = state[t.src][t.part]
-            bytes_sent[t] = len(data) * w
-            total_sent += len(data)
-            if t.dst == dest[t.part]:
-                dest_tuples += len(data)
-            outgoing.append((t, data))
-        phase_secs.append(
-            phase_cost(
-                phase, bytes_sent, topo, compute=compute, preaggregated=preaggregated
-            )
-        )
+        outgoing = [(t, state[t.src][t.part]) for t in phase]
+        phase_sizes.append({t: len(data) for t, data in outgoing})
         for t, data in outgoing:
             state[t.src][t.part] = set()
         for t, data in outgoing:
             state[t.dst][t.part] |= data
+    acct = account_plan(
+        plan,
+        phase_sizes,
+        dest,
+        topo,
+        w=w,
+        compute=compute,
+        preaggregated=preaggregated,
+    )
     return SimResult(
-        network_seconds=float(sum(phase_secs)),
-        phase_seconds=phase_secs,
-        dest_tuples=dest_tuples,
-        total_tuples_sent=total_sent,
+        network_seconds=acct.network_seconds,
+        phase_seconds=acct.phase_seconds,
+        dest_tuples=acct.dest_tuples,
+        total_tuples_sent=acct.total_tuples_sent,
         final_sets=state,
     )

@@ -81,14 +81,15 @@ def sum_spec(key: str, value: str, *, key_out: str = "key", out: str = "sum_v") 
 
 def avg_spec(key: str, value: str, *, key_out: str = "key", out: str = "avg_v") -> AggSpec:
     """``SELECT key, AVG(value) FROM r GROUP BY key`` — decomposed into
-    sum and count partials."""
+    sum and count partials. Like SQL's AVG, the count covers only
+    non-NULL values, and a group with none averages to NULL."""
     return AggSpec(
         key=key,
         partials=(
             PartialAgg("p_sum", value, "sum"),
-            PartialAgg("p_cnt", "CAST(1 AS BIGINT)", "sum"),
+            PartialAgg("p_cnt", f"CAST(({value}) IS NOT NULL AS BIGINT)", "sum"),
         ),
-        finals=((out, "p_sum / p_cnt"),),
+        finals=((out, "p_sum / NULLIF(p_cnt, 0)"),),
         key_out=key_out,
     )
 

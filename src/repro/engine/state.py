@@ -102,10 +102,12 @@ def make_state(
     )
 
 
-def merge_partials(df: DataFrame, spec: AggSpec) -> DataFrame:
-    """Combine rows with equal (frag, part, key) — local aggregation."""
+def merge_partials(df: DataFrame, spec: AggSpec, *extra: Column) -> DataFrame:
+    """Combine rows with equal (frag, part, key) — local aggregation.
+
+    ``extra`` aggregate columns are computed in the same pass."""
     return df.groupBy("frag", "part", "key").agg(
-        *[p.merge_col() for p in spec.partials]
+        *[p.merge_col() for p in spec.partials], *extra
     )
 
 

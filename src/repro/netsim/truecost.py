@@ -21,9 +21,12 @@ the paper measures 309 MB/s aggregation throughput on raw data and
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from repro.core.plan import Phase, Transfer
+import numpy as np
+
+from repro.core.plan import Phase, Plan, Transfer
 from repro.netsim.topology import Topology
 
 
@@ -91,6 +94,60 @@ def phase_cost(
     thr = compute.throughput(preaggregated) * mb
     per_node = [recv_net[v] + recv_bytes[v] / thr for v in recv_net]
     return max(per_node, default=0.0)
+
+
+@dataclass
+class PlanAccount:
+    """Simulated cost and tuple movement of one executed plan.
+
+    ``dest_tuples`` counts tuples received by final-destination
+    fragments across all phases (Table 2).
+    """
+
+    phase_seconds: list[float]
+    dest_tuples: int
+    total_tuples_sent: int
+
+    @property
+    def network_seconds(self) -> float:
+        """Eq. 3: the serial sum of the phase costs."""
+        return float(sum(self.phase_seconds))
+
+
+def account_plan(
+    plan: Plan,
+    phase_sizes: Sequence[dict[Transfer, int]],
+    dest: np.ndarray,
+    topo: Topology,
+    *,
+    w: float,
+    compute: ComputeModel | None = None,
+    preaggregated: bool = True,
+    cost: Callable[..., float] = phase_cost,
+) -> PlanAccount:
+    """Cost a plan from the tuple count each of its transfers moved.
+
+    ``phase_sizes[i][t]`` is the number of tuples transfer ``t`` of
+    phase ``i`` ships; each phase is costed by one call of ``cost``
+    (default :func:`phase_cost`) on ``tuples × w`` bytes per transfer.
+    A caller passes its own reference to ``phase_cost`` so that wrapping
+    the function where that caller looks it up sees every phase.
+    """
+    phase_secs: list[float] = []
+    dest_tuples = 0
+    total_sent = 0
+    for phase, sizes in zip(plan, phase_sizes, strict=True):
+        bytes_sent: dict[Transfer, float] = {}
+        for t in phase:
+            n = sizes[t]
+            bytes_sent[t] = n * w
+            total_sent += n
+            if t.dst == dest[t.part]:
+                dest_tuples += n
+        phase_secs.append(
+            cost(phase, bytes_sent, topo, compute=compute, preaggregated=preaggregated)
+        )
+    return PlanAccount(phase_secs, dest_tuples, total_sent)
 
 
 def plan_cost(

@@ -7,10 +7,12 @@ DuckDB running the reference SQL over the same input.
 """
 import pytest
 
+from repro.engine.aggspec import avg_spec
 from repro.experiments.harness import run_algorithm
 from repro.minhash.hashing import HashFamily
 from repro.netsim.topology import Topology
 from repro.oracle import assert_equivalent
+from repro.workloads.base import Workload
 from repro.workloads.modis import modis_workload
 from repro.workloads.reviews import reviews_workload
 from repro.workloads.tpch import q18_workload
@@ -87,6 +89,35 @@ class TestReviewsAvg:
             keep_result=True,
         )
         assert_equivalent(res.final_df, reviews.sql, r=reviews.df)
+        res.unpersist()
+
+
+class TestAvgNullValues:
+    """AVG counts only non-NULL values; a group of NULLs averages to NULL."""
+
+    @staticmethod
+    def _workload(spark, values):
+        rows = [(f % N, 1, v) for f, v in enumerate(values)]
+        return Workload(
+            name="avg_nulls",
+            df=spark.createDataFrame(rows, "frag int, k long, v long"),
+            spec=avg_spec("k", "v", key_out="k", out="m"),
+            sql="SELECT k, AVG(v) AS m FROM r GROUP BY k",
+            n_frags=N,
+        )
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_nulls_left_out_of_the_count(self, spark, algo):
+        wl = self._workload(spark, [2, None, 4])
+        _, res = run_algorithm(wl, algo, TOPO, family=FAM, keep_result=True)
+        assert_equivalent(res.final_df, wl.sql, r=wl.df)  # 3.0, not 2.0
+        res.unpersist()
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_all_null_group_is_null(self, spark, algo):
+        wl = self._workload(spark, [None, None])
+        _, res = run_algorithm(wl, algo, TOPO, family=FAM, keep_result=True)
+        assert_equivalent(res.final_df, wl.sql, r=wl.df)
         res.unpersist()
 
 
